@@ -39,6 +39,7 @@ class TransactionDatabase:
         "_item_counts",
         "_vertical_index",
         "_shard_cache",
+        "_closure_cache",
         "_epoch",
         "_epoch_rows",
     )
@@ -58,6 +59,7 @@ class TransactionDatabase:
         self._item_counts: dict[int, int] | None = None
         self._vertical_index = None
         self._shard_cache = None
+        self._closure_cache = None
         self._epoch = object()
         self._epoch_rows = self._transactions
 
@@ -80,6 +82,7 @@ class TransactionDatabase:
         database._item_counts = None
         database._vertical_index = None
         database._shard_cache = None
+        database._closure_cache = None
         database._epoch = object()
         database._epoch_rows = database._transactions
         if not database._transactions:

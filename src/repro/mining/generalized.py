@@ -26,8 +26,9 @@ Cumulate
        to items that can occur in a candidate;
     2. pruning of any candidate that contains both an item and one of its
        ancestors (their support equals the support without the ancestor, so
-       they carry no information) — applied from C2 on, which by downward
-       closure keeps them out of all later levels;
+       they carry no information) — applied to the pairs only: a later
+       candidate holding an item and its ancestor has that pair as a
+       subset, so ``apriori_gen``'s subset prune already drops it;
     3. items occurring in no candidate are dropped from rows before
        matching.
 
@@ -45,6 +46,17 @@ Est_merge (``"estmerge"``)
     the estimate-then-merge structure of the original; its remaining-time
     heuristics for choosing what to defer are simplified to a single
     estimated-support threshold.
+
+Levels 1 and 2
+--------------
+All three algorithms count levels 1 and 2 with the dense kernels of
+:mod:`repro.mining.pairs` instead of a counting engine: one scan encodes
+the ancestor-extended rows, level 1 is a ``bincount`` over all nodes and
+level 2 a ``bincount`` over the pairs of large singles. Neither level
+has a candidate list worth matching (level 2 is every pair of large
+singles), so the session's engine counts from level 3 on. The scan
+still books two *logical* passes, one per level, so the paper's pass
+accounting is unchanged.
 """
 
 from __future__ import annotations
@@ -61,6 +73,7 @@ from ..obs import api as obs
 from ..taxonomy.tree import Taxonomy
 from .apriori import apriori_gen
 from .itemset_index import LargeItemsetIndex
+from .pairs import count_dense_levels
 
 ALGORITHMS = ("basic", "cumulate", "estmerge")
 
@@ -125,8 +138,10 @@ def mine_generalized(
         ``"basic"``, ``"cumulate"`` (default) or ``"estmerge"``.
     session:
         The :class:`~repro.core.session.MiningSession` every counting
-        pass goes through (engine, cache and parallel policy); ``None``
-        uses a serial default-engine session over *database*.
+        pass from level 3 on goes through (engine, cache and parallel
+        policy); ``None`` uses a serial default-engine session over
+        *database*. Levels 1 and 2 are counted by the dense kernels of
+        :mod:`repro.mining.pairs`.
     max_size:
         Optional cap on itemset size.
     sample_fraction, estimation_slack, rng:
@@ -171,32 +186,52 @@ def mine_generalized(
     )
 
 
-def _large_singles(
+def _dense_levels(
     database: TransactionDatabase,
     taxonomy: Taxonomy,
     min_count: float,
-    session,
-) -> dict[Itemset, int]:
-    """Pass 1: count every taxonomy node as a 1-itemset, keep the large."""
-    singles = [(node,) for node in taxonomy.nodes]
-    counts = session.count(
-        singles, transactions=database, taxonomy=taxonomy
-    )
-    return {
-        single: count
-        for single, count in counts.items()
-        if count >= min_count
-    }
+    max_size: int | None,
+    prune_lineage: bool,
+) -> tuple[dict[Itemset, int], dict[Itemset, int]]:
+    """Levels 1 and 2 as counts, from one scan (two logical passes).
 
-
-def _prune_lineage_candidates(
-    candidates: list[Itemset], taxonomy: Taxonomy
-) -> list[Itemset]:
-    return [
-        candidate
-        for candidate in candidates
-        if not contains_item_and_ancestor(candidate, taxonomy)
-    ]
+    With *prune_lineage* (Cumulate), pairs of an item and its ancestor
+    are dropped. Level 2's logical pass is booked exactly when the
+    candidate-list path would have counted a non-empty C2: the pairs of
+    large singles, less the item-ancestor pairs under Cumulate.
+    """
+    with_pairs = max_size is None or max_size >= 2
+    with obs.span("gen.dense") as span:
+        dense = count_dense_levels(
+            database, taxonomy, min_count, with_pairs=with_pairs
+        )
+        singles, pairs = dense.singles, dense.pairs
+        m = len(singles)
+        candidates = m * (m - 1) // 2 if with_pairs else 0
+        if prune_lineage:
+            candidates -= sum(
+                1
+                for (item,) in singles
+                for ancestor in taxonomy.ancestors(item)
+                if (ancestor,) in singles
+            )
+            pairs = {
+                pair: count
+                for pair, count in pairs.items()
+                if not contains_item_and_ancestor(pair, taxonomy)
+            }
+        if candidates:
+            database.count_logical_pass()
+        span.annotate("m", m)
+        span.annotate("candidates", candidates)
+        span.annotate("pairs_enumerated", dense.pairs_enumerated)
+        span.annotate("pairs_emitted", len(dense.pairs))
+        span.annotate("tiles", dense.tiles)
+    obs.incr("gen.dense.large_singles", m)
+    obs.incr("gen.dense.pairs_enumerated", dense.pairs_enumerated)
+    obs.incr("gen.dense.pairs_emitted", len(dense.pairs))
+    obs.incr("gen.dense.tiles", dense.tiles)
+    return singles, pairs
 
 
 def iter_generalized_levels(
@@ -211,32 +246,37 @@ def iter_generalized_levels(
     """Yield the generalized large itemsets one level at a time.
 
     Each yielded mapping holds the size-``k`` large itemsets with their
-    fractional supports; producing it costs exactly one pass over the
-    data. The Naive negative miner consumes this generator so it can
-    interleave its own negative-candidate counting pass after every level
-    (two passes per iteration, as in Section 2.2.1). All counting goes
-    through *session* (``None`` = a serial default-engine session).
+    fractional supports; producing it costs exactly one logical pass over
+    the data. Levels 1 and 2 come from the dense kernels of
+    :mod:`repro.mining.pairs` (one physical read of the database, whose
+    counts are kept for later runs); from level 3 on, counting goes
+    through *session* (``None`` = a serial default-engine session). The
+    Naive negative miner consumes this generator so it can interleave its
+    own negative-candidate counting pass after every level (two passes
+    per iteration, as in Section 2.2.1).
+
+    *prune_lineage* (Cumulate) drops pairs of an item and its ancestor
+    from level 2, which keeps them out of every later level too.
     """
     check_fraction(minsup, "minsup")
     session = _resolve_session(session, database, taxonomy)
     total = len(database)
     min_count = minsup * total
 
-    large_singles = _large_singles(database, taxonomy, min_count, session)
-    level = {
-        single: count / total for single, count in large_singles.items()
-    }
+    singles, pairs = _dense_levels(
+        database, taxonomy, min_count, max_size, prune_lineage
+    )
+    yield {single: count / total for single, count in singles.items()}
+    if not pairs:
+        return
+    level = {pair: count / total for pair, count in pairs.items()}
     yield level
 
     current = list(level)
-    size = 2
-    while current and (max_size is None or size <= max_size):
+    size = 3
+    while max_size is None or size <= max_size:
         with obs.span("gen.candidates") as span:
             candidates = apriori_gen(current)
-            if prune_lineage:
-                candidates = _prune_lineage_candidates(
-                    candidates, taxonomy
-                )
             span.annotate("size", size)
             span.annotate("candidates", len(candidates))
         if not candidates:
@@ -317,13 +357,15 @@ def _mine_estmerge(
     sample = sample_database(database, sample_fraction, rng=rng)
     sample_threshold = estimation_slack * minsup * len(sample)
 
-    large_singles = _large_singles(database, taxonomy, min_count, session)
-    for single, count in large_singles.items():
-        index.add(single, count / total)
+    singles, pairs = _dense_levels(
+        database, taxonomy, min_count, max_size, prune_lineage=True
+    )
+    for items, count in (*singles.items(), *pairs.items()):
+        index.add(items, count / total)
 
     queued: set[Itemset] = set()  # estimated or counted at least once
     deferred: list[Itemset] = []  # estimated-small, awaiting exact counts
-    to_generate: set[int] = {2}
+    to_generate: set[int] = {3}
     while True:
         fresh: list[Itemset] = []
         with obs.span("gen.candidates") as span:
@@ -333,9 +375,7 @@ def _mine_estmerge(
                 previous = sorted(index.of_size(size - 1))
                 if not previous:
                     continue
-                for candidate in _prune_lineage_candidates(
-                    apriori_gen(previous), taxonomy
-                ):
+                for candidate in apriori_gen(previous):
                     if candidate not in queued:
                         queued.add(candidate)
                         fresh.append(candidate)

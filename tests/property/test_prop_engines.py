@@ -136,6 +136,36 @@ def test_restriction_never_changes_counts(spec, transactions, candidates):
     assert restricted == plain
 
 
+@pytest.mark.parametrize("spec", all_engine_specs())
+@settings(max_examples=10, deadline=None)
+@given(leaf_transactions_strategy, taxonomy_strategy)
+def test_naive_equals_improved_under_every_engine(
+    spec, transactions, taxonomy
+):
+    """Engines count from generalized level 3 and the negative passes;
+    both miners must still agree with each other and with brute."""
+    from repro.core.negmining import (
+        ImprovedNegativeMiner,
+        NaiveNegativeMiner,
+    )
+    from repro.data.database import TransactionDatabase
+
+    def negatives(miner, engine):
+        database = TransactionDatabase(transactions)
+        session = session_for(engine, database, taxonomy)
+        output = miner(database, taxonomy, 0.2, 0.3, session=session).mine()
+        return {
+            negative.items: (
+                negative.expected_support, negative.actual_support
+            )
+            for negative in output.negatives
+        }
+
+    improved = negatives(ImprovedNegativeMiner, spec)
+    assert negatives(NaiveNegativeMiner, spec) == improved
+    assert negatives(ImprovedNegativeMiner, "brute") == improved
+
+
 # ----------------------------------------------------------------------
 # Out-of-core segmentation: word/segment-boundary layouts and the
 # incremental maintenance paths (append, then out-of-band mutation).

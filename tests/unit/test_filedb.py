@@ -110,7 +110,7 @@ class TestMinersOnFileBackedData:
         } == {
             (rule.antecedent, rule.consequent) for rule in reference.rules
         }
-        assert from_disk.scans == result.stats.data_passes
+        assert from_disk.logical_scans == result.stats.data_passes
 
 
 class TestAppendParity:

@@ -151,7 +151,7 @@ class TestIterLevels:
 
     def test_one_pass_per_level(self, taxonomy, database):
         levels = list(iter_generalized_levels(database, taxonomy, 1 / 6))
-        assert database.scans >= len(levels)
+        assert database.logical_scans >= len(levels)
 
 
 class TestExtendDatabase:
