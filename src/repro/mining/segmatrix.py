@@ -65,6 +65,7 @@ from ..itemset import Itemset
 from ..obs import api as obs
 from ..taxonomy.tree import Taxonomy
 from . import bitpack
+from .pairs import kept_rows
 
 #: Default rows per segment. At the paper's full scale (|D| = 50,000)
 #: this yields ~6 segments of ~1 KiB-per-item blocks; large enough that
@@ -387,12 +388,19 @@ class SegmentedPackedMatrix:
         self._epoch = epoch
 
     def _sync_full(self, source, stats) -> None:
-        """Stream all rows; reuse fingerprint-matching segments."""
-        rows = (
-            source.physical_scan()
-            if hasattr(source, "physical_scan")
-            else iter(source)
-        )
+        """Stream all rows; reuse fingerprint-matching segments.
+
+        Rows the generalized miners' dense kernel already read and kept
+        (:func:`repro.mining.pairs.kept_rows`) are decoded instead of
+        read again.
+        """
+        rows = kept_rows(source)
+        if rows is None:
+            rows = (
+                source.physical_scan()
+                if hasattr(source, "physical_scan")
+                else iter(source)
+            )
         old = self._segments
         self._segments = []
         with obs.span("segments.sync") as span:
