@@ -4,13 +4,16 @@ The Improved algorithm's first optimization deletes small items from the
 taxonomy before candidate generation; candidate *output* is unchanged
 (replacements are always filtered to large items) but generation iterates
 far fewer children/sibling combinations. This ablation times candidate
-generation with and without pruning and verifies output equality.
+generation with and without pruning and exits non-zero unless both
+return the same candidates with the same expectations, sources and
+cases.
 
 Run directly::
 
     python -m benchmarks.bench_ablation_pruning
 """
 
+import sys
 import time
 
 import pytest
@@ -49,7 +52,7 @@ def test_candidate_generation(benchmark, variant):
     )
 
 
-def main() -> None:
+def main() -> int:
     data, index, pruned = _setup()
     print(
         f"=== A3: taxonomy pruning, {len(data.taxonomy)} -> "
@@ -66,9 +69,10 @@ def main() -> None:
             f"  {label:<7} {elapsed:8.3f}s  "
             f"candidates={len(outputs[label])}"
         )
-    same = set(outputs["full"]) == set(outputs["pruned"])
-    print(f"\nidentical candidate sets: {same} (must be True)")
+    same = outputs["full"] == outputs["pruned"]
+    print(f"\nidentical candidates (sets and expectations): {same}")
+    return 0 if same else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

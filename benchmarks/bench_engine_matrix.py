@@ -31,6 +31,7 @@ from pathlib import Path
 
 def _level_candidates(dataset, minsup: float, taxonomy):
     """The two shared passes: all singles, then pairs of large singles."""
+    from repro import _util
     from repro.core.session import MiningSession
 
     database = dataset.database
@@ -43,7 +44,7 @@ def _level_candidates(dataset, minsup: float, taxonomy):
         )
     singles = [(node,) for node in sorted(nodes)]
     counts = MiningSession(database, taxonomy).count(singles)
-    min_count = minsup * len(database)
+    min_count = _util.min_count(minsup, len(database))
     large = [items[0] for items, count in counts.items()
              if count >= min_count]
     pairs = []

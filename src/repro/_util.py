@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Iterator
 from contextlib import contextmanager
@@ -19,6 +20,26 @@ def check_fraction(value: float, name: str) -> float:
     if not 0.0 < value <= 1.0:
         raise ConfigError(f"{name} must be in (0, 1], got {value!r}")
     return value
+
+
+def min_count(minsup: float, total: int) -> int:
+    """The fewest rows of *total* an itemset needs to be large at *minsup*.
+
+    An itemset is large exactly when the support the miners report for
+    it, ``count / total``, is at least *minsup*. So 7 of 100 rows is large
+    at ``minsup=0.07`` (the float product ``0.07 * 100`` is
+    ``7.000000000000001``), and k of n rows is large at ``minsup=k/n``
+    for every k and n.
+    """
+    # count / total never falls as count grows, and the float product is
+    # off the exact one by far less than a row, so the loops move the
+    # first guess by a row at most.
+    count = math.ceil(minsup * total)
+    while count > 0 and (count - 1) / total >= minsup:
+        count -= 1
+    while count < total and count / total < minsup:
+        count += 1
+    return count
 
 
 def check_positive(value: int, name: str) -> int:

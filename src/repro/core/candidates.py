@@ -34,9 +34,10 @@ from collections.abc import Iterable
 from itertools import combinations
 
 from .._util import check_fraction
-from ..itemset import Itemset, replace_positions
+from ..itemset import Itemset
 from ..mining.generalized import contains_item_and_ancestor
 from ..mining.itemset_index import LargeItemsetIndex
+from ..obs import api as obs
 from ..taxonomy.tree import Taxonomy
 from .interest import deviation_threshold
 
@@ -67,32 +68,59 @@ class NegativeCandidate:
     case: str
 
 
-RatioPool = tuple[tuple[int, float], ...]
+#: A replacement pool: ``(relative, ratio, bit, up)`` entries, where
+#: *ratio* is ``sup(relative) / sup(item)`` and *bit*/*up* are the
+#: relative's lineage bit and ancestor mask (see :class:`_RelativeCache`).
+RatioPool = tuple[tuple[int, float, int, int], ...]
+
+#: The generation funnel, published as ``candgen.<name>`` counters once
+#: per :func:`generate_negative_candidates` call (DESIGN.md §3).
+FUNNEL = (
+    "subsets",
+    "bound_pruned",
+    "pool_filtered",
+    "leaves",
+    "already_large",
+    "lineage_rejected",
+    "kept_lower",
+    "admitted",
+)
 
 
 class _RelativeCache:
-    """Large-filtered children/sibling ratio pools, computed per item.
+    """Large-filtered replacement pools and lineage masks, per item.
 
-    A pool entry is ``(relative_item, sup(relative) / sup(item))`` — the
-    expectation factor contributed by replacing *item* with the relative.
-    Pools are sorted by descending ratio so the branch-and-bound
-    enumeration can cut off as soon as the bound falls below threshold.
+    A pool entry carries ``sup(relative) / sup(item)`` — the expectation
+    factor contributed by replacing *item* with the relative. Pools are
+    sorted by descending ratio so the branch-and-bound enumeration can
+    cut off as soon as the bound falls below threshold.
+
+    Lineage is kept as Python ints: every node met gets its own bit, and
+    its *up* mask is its bit OR-ed with its ancestors' bits. Node ``a``
+    is ``b`` or an ancestor of it exactly when ``bit(a) & up(b)``; an
+    itemset's bits OR together into a key that identifies it.
     """
 
-    __slots__ = ("_taxonomy", "_index", "_children", "_siblings")
+    __slots__ = ("_taxonomy", "_index", "_children", "_siblings",
+                 "_lineage")
 
     def __init__(self, taxonomy: Taxonomy, index: LargeItemsetIndex) -> None:
         self._taxonomy = taxonomy
         self._index = index
         self._children: dict[int, RatioPool] = {}
         self._siblings: dict[int, RatioPool] = {}
+        self._lineage: dict[int, tuple[int, int]] = {}
 
     def _pool(self, item: int, relatives: tuple[int, ...]) -> RatioPool:
         own_support = self._index.support_or_none((item,))
         if own_support is None or own_support <= 0.0:
             return ()
         entries = [
-            (relative, self._index.support((relative,)) / own_support)
+            (
+                relative,
+                self._index.support((relative,)) / own_support,
+                *self.lineage(relative),
+            )
             for relative in relatives
             if self._index.is_large((relative,))
         ]
@@ -112,6 +140,21 @@ class _RelativeCache:
                 item, self._taxonomy.siblings(item)
             )
         return self._siblings[item]
+
+    def lineage(self, node: int) -> tuple[int, int]:
+        """``(bit, up)`` of *node*; bits are handed out on first use."""
+        entry = self._lineage.get(node)
+        if entry is None:
+            up = 0
+            # Root first, so each node's parent already has its entry.
+            path = (*reversed(self._taxonomy.ancestors(node)), node)
+            for step in path:
+                entry = self._lineage.get(step)
+                if entry is None:
+                    bit = 1 << len(self._lineage)
+                    entry = self._lineage[step] = (bit, bit | up)
+                up = entry[1]
+        return entry
 
 
 def generate_negative_candidates(
@@ -155,7 +198,9 @@ def generate_negative_candidates(
     -------
     dict
         Candidate itemset -> :class:`NegativeCandidate`, deduplicated with
-        maximum expected support.
+        maximum expected support. With observability on, the call also
+        adds its :data:`FUNNEL` to the ``candgen.*`` counters and puts
+        ``leaves`` and ``admitted`` on the innermost open span.
     """
     check_fraction(minsup, "minsup")
     threshold = deviation_threshold(minsup, minri)
@@ -172,6 +217,7 @@ def generate_negative_candidates(
     else:
         source_list = [items for items in sources if len(items) >= 2]
 
+    funnel = dict.fromkeys(FUNNEL, 0)
     for source in source_list:
         if max_size is not None and len(source) > max_size:
             continue
@@ -183,11 +229,21 @@ def generate_negative_candidates(
             # Degenerate large itemsets (possible with the Basic miner)
             # predict nothing beyond their non-degenerate reduction.
             continue
-        base = index.support(source)
-        _expand(
-            source, base, cache, index, taxonomy, threshold,
+        counts = _expand(
+            source, index.support(source), cache, index, threshold,
             max_sibling_replacements, out,
         )
+        for name, count in zip(FUNNEL, counts):
+            funnel[name] += count
+    if obs.enabled():
+        funnel["admitted"] = len(out)
+        funnel["kept_lower"] = (
+            funnel["leaves"] - funnel["already_large"] - len(out)
+        )
+        for name, count in funnel.items():
+            obs.incr("candgen." + name, count)
+        obs.annotate("leaves", funnel["leaves"])
+        obs.annotate("admitted", len(out))
     return out
 
 
@@ -196,11 +252,10 @@ def _expand(
     base: float,
     cache: _RelativeCache,
     index: LargeItemsetIndex,
-    taxonomy: Taxonomy,
     threshold: float,
     max_sibling_replacements: int | None,
     out: dict[Itemset, NegativeCandidate],
-) -> None:
+) -> tuple[int, ...]:
     """Enumerate all admissible replacements of *source* with pruning.
 
     The raw enumeration is exponential (the Section 2.1.2 estimate), and
@@ -212,87 +267,157 @@ def _expand(
     (and whole position subsets) that cannot reach ``MinSup × MinRI`` are
     cut. Only candidates that the threshold would reject anyway are
     skipped, so the output is identical to exhaustive enumeration.
+
+    Lineage is settled with masks before any tuple is built (DESIGN.md
+    §3). *source* is lineage-free and the taxonomy a forest, so a child
+    never collides with a kept item, and a sibling only by being one or
+    an ancestor of one: such siblings leave the pool once per position
+    subset. Choices at two replaced positions are checked against each
+    other as the recursion goes down. Leaves of one source and case are
+    then deduplicated by their bit key, and each distinct itemset costs
+    one sorted tuple and two dict probes.
+
+    Returns the funnel counts of :data:`FUNNEL` up to
+    ``lineage_rejected``.
     """
     size = len(source)
-    for case, ratio_pools, proper_only in (
-        (CASE_CHILDREN, cache.children_ratios, False),
-        (CASE_SIBLINGS, cache.sibling_ratios, True),
+    lineages = [cache.lineage(item) for item in source]
+    subsets = bound_pruned = pool_filtered = 0
+    leaves = already_large = lineage_rejected = 0
+    sibling_positions = size - 1
+    if max_sibling_replacements is not None:
+        sibling_positions = min(sibling_positions, max_sibling_replacements)
+    for case, ratio_pools, max_positions in (
+        (CASE_CHILDREN, cache.children_ratios, size),
+        (CASE_SIBLINGS, cache.sibling_ratios, sibling_positions),
     ):
-        max_positions = size - 1 if proper_only else size
-        if case == CASE_SIBLINGS and max_sibling_replacements is not None:
-            max_positions = min(max_positions, max_sibling_replacements)
-        position_pools = [ratio_pools(source[p]) for p in range(size)]
-        for count in range(1, max_positions + 1):
-            for positions in combinations(range(size), count):
-                pools = [position_pools[p] for p in positions]
-                if any(not pool for pool in pools):
-                    continue
+        position_pools = [ratio_pools(item) for item in source]
+        # A position with an empty pool takes part in no candidate.
+        live = [p for p in range(size) if position_pools[p]]
+        tops = [pool[0][1] if pool else 0.0 for pool in position_pools]
+        # Bit key of a reached itemset -> (best expectation, kept items
+        # plus all choices but the last, last choice).
+        reached: dict[int, tuple[float, tuple[int, ...], int]] = {}
+        for count in range(1, min(max_positions, len(live)) + 1):
+            for positions in combinations(live, count):
+                subsets += 1
                 # Exact upper bound: best (first) ratio at every position.
                 bound = base
-                for pool in pools:
-                    bound *= pool[0][1]
+                for p in positions:
+                    bound *= tops[p]
                 if bound < threshold:
+                    bound_pruned += 1
                     continue
-                _descend(
-                    source, positions, pools, 0, (), base, case,
-                    index, taxonomy, threshold, out,
+                pools = [position_pools[p] for p in positions]
+                # Best ratio product of the positions after each depth,
+                # over the unfiltered pools and multiplied in order.
+                bests = []
+                for depth in range(count - 1):
+                    best = 1.0
+                    for p in positions[depth + 1:]:
+                        best *= tops[p]
+                    bests.append(best)
+                kept = []
+                kept_key = kept_up = 0
+                for position, item in enumerate(source):
+                    if position not in positions:
+                        kept.append(item)
+                        kept_key |= lineages[position][0]
+                        kept_up |= lineages[position][1]
+                if case == CASE_SIBLINGS:
+                    filtered = [
+                        tuple(
+                            entry for entry in pool
+                            if not entry[2] & kept_up
+                        )
+                        for pool in pools
+                    ]
+                    pool_filtered += sum(map(len, pools)) - sum(
+                        map(len, filtered)
+                    )
+                    if not all(filtered):
+                        continue
+                    pools = filtered
+                # Every way to fill all positions but the last, then the
+                # last position's pool, whose remaining best is 1.0.
+                if count == 1:
+                    stubs = [(tuple(kept), base, 0, kept_key)]
+                else:
+                    stubs = []
+                    lineage_rejected += _descend(
+                        pools, bests, 0, tuple(kept), base, 0, kept_key,
+                        threshold, stubs,
+                    )
+                for chosen, accumulated, ups, key in stubs:
+                    for item, ratio, bit, up in pools[-1]:
+                        expectation = accumulated * ratio
+                        if expectation < threshold:
+                            break
+                        if bit & ups or up & key:
+                            lineage_rejected += 1
+                            continue
+                        leaves += 1
+                        key_bits = key | bit
+                        best_so_far = reached.get(key_bits)
+                        if (
+                            best_so_far is None
+                            or expectation > best_so_far[0]
+                        ):
+                            reached[key_bits] = (expectation, chosen, item)
+        for expectation, chosen, item in reached.values():
+            candidate = tuple(sorted(chosen + (item,)))
+            if candidate in index:
+                already_large += 1
+                continue
+            existing = out.get(candidate)
+            if existing is None or expectation > existing.expected_support:
+                out[candidate] = NegativeCandidate(
+                    items=candidate,
+                    expected_support=expectation,
+                    source=source,
+                    case=case,
                 )
+    return (
+        subsets, bound_pruned, pool_filtered, leaves, already_large,
+        lineage_rejected,
+    )
 
 
 def _descend(
-    source: Itemset,
-    positions: tuple[int, ...],
-    pools: list[tuple[tuple[int, float], ...]],
+    pools: list[RatioPool],
+    bests: list[float],
     depth: int,
     chosen: tuple[int, ...],
     accumulated: float,
-    case: str,
-    index: LargeItemsetIndex,
-    taxonomy: Taxonomy,
+    ups: int,
+    key: int,
     threshold: float,
-    out: dict[Itemset, NegativeCandidate],
-) -> None:
-    """Depth-first cross-product with expectation bound pruning."""
-    if depth == len(pools):
-        _admit(
-            source, positions, chosen, accumulated, case, index,
-            taxonomy, out,
-        )
-        return
-    remaining_best = 1.0
-    for pool in pools[depth + 1:]:
-        remaining_best *= pool[0][1]
-    for item, ratio in pools[depth]:
+    stubs: list[tuple[tuple[int, ...], float, int, int]],
+) -> int:
+    """Depth-first cross-product with expectation bound pruning.
+
+    Fills every position but the last. *chosen* holds the kept items
+    plus the choices made so far and *accumulated* their expectation;
+    *ups* ORs the choices' up masks and *key* the bits of *chosen*. Each
+    completed prefix is appended to *stubs* as that 4-tuple. Returns how
+    many choices were dropped for being, or being an ancestor or
+    descendant of, an earlier choice.
+    """
+    rejected = 0
+    remaining_best = bests[depth]
+    next_is_last = depth + 2 == len(pools)
+    for item, ratio, bit, up in pools[depth]:
         value = accumulated * ratio
         if value * remaining_best < threshold:
             # Pools are ratio-descending: no later item can recover.
             break
-        _descend(
-            source, positions, pools, depth + 1, chosen + (item,),
-            value, case, index, taxonomy, threshold, out,
-        )
-
-
-def _admit(
-    source: Itemset,
-    positions: tuple[int, ...],
-    assignment: tuple[int, ...],
-    expectation: float,
-    case: str,
-    index: LargeItemsetIndex,
-    taxonomy: Taxonomy,
-    out: dict[Itemset, NegativeCandidate],
-) -> None:
-    candidate = replace_positions(source, positions, assignment)
-    if candidate is None or candidate in index:
-        return
-    if contains_item_and_ancestor(candidate, taxonomy):
-        return
-    existing = out.get(candidate)
-    if existing is None or expectation > existing.expected_support:
-        out[candidate] = NegativeCandidate(
-            items=candidate,
-            expected_support=expectation,
-            source=source,
-            case=case,
-        )
+        if bit & ups or up & key:
+            rejected += 1
+        elif next_is_last:
+            stubs.append((chosen + (item,), value, ups | up, key | bit))
+        else:
+            rejected += _descend(
+                pools, bests, depth + 1, chosen + (item,), value,
+                ups | up, key | bit, threshold, stubs,
+            )
+    return rejected

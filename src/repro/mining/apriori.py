@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections.abc import Collection
 
+from .. import _util
 from .._util import check_fraction
 from ..data.database import TransactionDatabase
 from ..itemset import Itemset
@@ -106,7 +107,7 @@ def find_large_itemsets(
     if session is None:
         session = _default_session(database)
     total = len(database)
-    min_count = minsup * total
+    min_count = _util.min_count(minsup, total)
 
     index = LargeItemsetIndex()
     item_counts = session.count(

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 
+from .. import _util
 from .._util import check_fraction, check_positive
 from ..data.database import TransactionDatabase
 from ..itemset import Itemset
@@ -66,7 +67,7 @@ def find_large_itemsets_aprioritid(
     """
     check_fraction(minsup, "minsup")
     total = len(database)
-    min_count = minsup * total
+    min_count = _util.min_count(minsup, total)
     index = LargeItemsetIndex()
 
     # The single data pass: materialize rows and count 1-itemsets.
@@ -107,7 +108,7 @@ def _advance(
     candidates: list[Itemset],
     previous_level: list[Itemset],
     image: _Image,
-    min_count: float,
+    min_count: int,
 ) -> list[tuple[Itemset, int]]:
     """Count *candidates* against the image and shrink it in place.
 
@@ -190,7 +191,7 @@ def find_large_itemsets_hybrid(
     if session is None:
         session = _default_session(database)
     total = len(database)
-    min_count = minsup * total
+    min_count = _util.min_count(minsup, total)
     index = LargeItemsetIndex()
 
     item_counts = session.count(

@@ -64,6 +64,7 @@ from __future__ import annotations
 import random
 from collections.abc import Iterator
 
+from .. import _util
 from .._util import check_fraction
 from ..data.database import TransactionDatabase
 from ..data.sampling import sample_database
@@ -189,7 +190,7 @@ def mine_generalized(
 def _dense_levels(
     database: TransactionDatabase,
     taxonomy: Taxonomy,
-    min_count: float,
+    min_count: int,
     max_size: int | None,
     prune_lineage: bool,
 ) -> tuple[dict[Itemset, int], dict[Itemset, int]]:
@@ -261,7 +262,7 @@ def iter_generalized_levels(
     check_fraction(minsup, "minsup")
     session = _resolve_session(session, database, taxonomy)
     total = len(database)
-    min_count = minsup * total
+    min_count = _util.min_count(minsup, total)
 
     singles, pairs = _dense_levels(
         database, taxonomy, min_count, max_size, prune_lineage
@@ -351,7 +352,7 @@ def _mine_estmerge(
             f"estimation_slack must be in (0, 1], got {estimation_slack}"
         )
     total = len(database)
-    min_count = minsup * total
+    min_count = _util.min_count(minsup, total)
     index = LargeItemsetIndex()
 
     sample = sample_database(database, sample_fraction, rng=rng)

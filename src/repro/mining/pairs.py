@@ -106,7 +106,7 @@ class DenseLevels:
 def count_dense_levels(
     database,
     taxonomy: Taxonomy,
-    min_count: float,
+    min_count: int,
     with_pairs: bool = True,
 ) -> DenseLevels:
     """Count levels 1 and (with *with_pairs*) 2 of *database*.
@@ -328,7 +328,7 @@ class _DenseCounts:
             )
 
     def large_pairs(
-        self, large: np.ndarray, min_count: float, absorbed
+        self, large: np.ndarray, min_count: int, absorbed
     ) -> tuple[list[tuple[int, int, int]], int, int]:
         """Pairs of the *large* slots counted ``>= min_count``.
 
@@ -621,7 +621,7 @@ def _add_counts(block: np.ndarray, keys: list[np.ndarray]) -> None:
 def _emit_cells(
     block: np.ndarray,
     low: int,
-    min_count: float,
+    min_count: int,
     first_cell: np.ndarray,
     base: np.ndarray,
 ) -> list[tuple[int, int, int]]:

@@ -17,6 +17,7 @@ the data, independent of the longest itemset.
 
 from __future__ import annotations
 
+from .. import _util
 from .._util import check_fraction, check_positive
 from ..data.database import TransactionDatabase
 from ..itemset import Itemset
@@ -30,7 +31,7 @@ def _local_large(
     rows: list[Itemset], minsup: float, max_size: int | None
 ) -> set[Itemset]:
     """Mine one partition bottom-up with tid-list intersections."""
-    min_count = minsup * len(rows)
+    min_count = _util.min_count(minsup, len(rows))
     tidlists: dict[Itemset, list[int]] = {}
     for tid, row in enumerate(rows):
         for item in row:
@@ -153,7 +154,7 @@ def find_large_itemsets_partition(
     index = LargeItemsetIndex()
     if not global_candidates:
         return index
-    min_count = minsup * total
+    min_count = _util.min_count(minsup, total)
     counts = session.count(
         sorted(global_candidates), transactions=database, taxonomy=None
     )

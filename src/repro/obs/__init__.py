@@ -9,6 +9,7 @@ from .api import (
     METRICS_MODES,
     Observability,
     active_registry,
+    annotate,
     configure,
     current,
     detach,
@@ -39,6 +40,7 @@ __all__ = [
     "Span",
     "SummarySink",
     "active_registry",
+    "annotate",
     "configure",
     "current",
     "detach",

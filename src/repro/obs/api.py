@@ -159,6 +159,13 @@ def span(name: str):
     return Span(name, state)
 
 
+def annotate(key: str, value) -> None:
+    """Annotate the innermost open span (no-op if off or outside spans)."""
+    state = _STATE
+    if state is not None and state._stack:
+        state._stack[-1].annotate(key, value)
+
+
 def incr(name: str, value: int = 1) -> None:
     """Increment counter *name* in the active registry (no-op if off)."""
     state = _STATE

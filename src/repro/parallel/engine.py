@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections.abc import Collection, Iterable
 
+from .. import _util
 from .._util import check_fraction
 from ..itemset import Itemset
 from ..mining import vertical
@@ -558,7 +559,7 @@ def parallel_partition(
 
     # Phase 2 — pass two: sharded global count of the merged union.
     total = len(database)
-    min_count = minsup * total
+    min_count = _util.min_count(minsup, total)
     counts = parallel_count_supports(
         database.scan(),
         sorted(global_candidates),

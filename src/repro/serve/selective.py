@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .. import _util
 from .._util import check_fraction
 from ..core.candidates import generate_negative_candidates
 from ..core.negmining import (
@@ -185,7 +186,7 @@ def mine_selective(
     measure = resolve_measure(measure, session)
     session.begin_run(kind="serving")
     total = len(database)
-    min_count = minsup * total
+    min_count = _util.min_count(minsup, total)
     start_physical = database.scans
     start_logical = getattr(database, "logical_scans", database.scans)
 

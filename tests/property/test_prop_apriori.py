@@ -29,14 +29,13 @@ def exhaustive_large_itemsets(database, minsup):
     """Oracle: enumerate every itemset up to size 4 by brute force."""
     rows = [set(row) for row in database]
     universe = sorted({item for row in rows for item in row})
-    min_count = minsup * len(rows)
     found = {}
     for size in range(1, 5):
         for candidate in combinations(universe, size):
             count = sum(
                 1 for row in rows if set(candidate) <= row
             )
-            if count >= min_count:
+            if count / len(rows) >= minsup:
                 found[candidate] = count / len(rows)
     return found
 

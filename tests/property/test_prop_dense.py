@@ -74,12 +74,11 @@ def oracle_levels(rows, taxonomy, minsup, cumulate):
     database = TransactionDatabase(rows)
     session = MiningSession(database, taxonomy, "brute")
     total = len(database)
-    min_count = minsup * total
     counts = session.count([(node,) for node in taxonomy.nodes])
     singles = {
         single: count / total
         for single, count in counts.items()
-        if count >= min_count
+        if count / total >= minsup
     }
     candidates = apriori_gen(sorted(singles))
     if cumulate:
@@ -92,7 +91,7 @@ def oracle_levels(rows, taxonomy, minsup, cumulate):
     doubles = {
         pair: count / total
         for pair, count in counts.items()
-        if count >= min_count
+        if count / total >= minsup
     }
     return singles, doubles, bool(candidates)
 

@@ -9,9 +9,12 @@ import pytest
 from repro.core.candidates import (
     CASE_CHILDREN,
     CASE_SIBLINGS,
+    FUNNEL,
     generate_negative_candidates,
 )
 from repro.mining.itemset_index import LargeItemsetIndex
+from repro.obs import api as obs
+from repro.obs.registry import MetricsRegistry
 
 
 @pytest.fixture
@@ -240,3 +243,34 @@ class TestSourceFiltering:
             sources=[ids(names, "C", "D")],
         )
         assert candidates == {}
+
+
+class TestFunnel:
+    def test_counters_add_up_and_annotate_the_span(
+        self, index, figure1_taxonomy, names
+    ):
+        # {B, C}: B's only sibling is the kept C, so its pool empties.
+        index.add(ids(names, "B", "C"), 0.2)
+        registry = MetricsRegistry()
+        with obs.obs_session(registry=registry):
+            with obs.span("mine.candidate_gen") as span:
+                candidates = generate_negative_candidates(
+                    index, figure1_taxonomy, 0.05, 0.5
+                )
+        count = {name: registry.counter("candgen." + name) for name in FUNNEL}
+        assert count["admitted"] == len(candidates) == span.attrs["admitted"]
+        assert count["leaves"] == span.attrs["leaves"]
+        assert count["leaves"] == (
+            count["already_large"] + count["kept_lower"] + count["admitted"]
+        )
+        assert count["pool_filtered"] >= 1
+        assert count["subsets"] > count["bound_pruned"]
+
+    def test_counters_accumulate_over_calls(self, index, figure1_taxonomy):
+        registry = MetricsRegistry()
+        with obs.obs_session(registry=registry):
+            for _ in range(2):
+                candidates = generate_negative_candidates(
+                    index, figure1_taxonomy, 0.05, 0.5
+                )
+        assert registry.counter("candgen.admitted") == 2 * len(candidates)

@@ -189,6 +189,16 @@ class TestSpans:
         assert span.attrs["batches"] == 5
         assert span.attrs["error"] == "ValueError"
 
+    def test_module_annotate_targets_the_innermost_span(self):
+        obs.annotate("ignored", 1)  # disabled: a no-op
+        with obs.obs_session(registry=MetricsRegistry()):
+            obs.annotate("ignored", 1)  # outside every span: a no-op
+            with obs.span("outer") as outer:
+                with obs.span("inner") as inner:
+                    obs.annotate("rows", 5)
+        assert inner.attrs == {"rows": 5}
+        assert outer.attrs == {}
+
     def test_disabled_span_is_the_null_singleton(self):
         assert obs.span("anything") is NULL_SPAN
         with obs.span("anything") as span:
@@ -203,6 +213,7 @@ class TestSpans:
                 with obs.span("count.noop") as span:
                     span.annotate("rows", 1)
                 obs.incr("counting.passes")
+                obs.annotate("rows", 1)
                 obs.observe("h", 0.1)
                 obs.max_gauge("g", 1.0)
 
